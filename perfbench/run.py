@@ -159,6 +159,20 @@ def main(argv: list[str] | None = None) -> int:
         return _run(args, workdir, state_dir, WORKLOADS, WORK_UNIT)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
+        _stop_resource_tracker()
+
+
+def _stop_resource_tracker() -> None:
+    """End and reap the helper process that spawning pool workers starts.
+
+    ``multiprocessing``'s spawn start method launches a resource-tracker
+    process on first use and leaves it to notice the parent's exit on its
+    own, so it outlives the run unless it is stopped and waited for here.
+    """
+    tracker = sys.modules.get("multiprocessing.resource_tracker")
+    stop = getattr(getattr(tracker, "_resource_tracker", None), "_stop", None)
+    if stop is not None:
+        stop()
 
 
 def _run(args, workdir, state_dir, workloads, work_unit) -> int:
